@@ -210,19 +210,51 @@ def _exec_survival(
 
     ``W`` is the Erlang atom-plus-exponential wait (``P(W > t) =
     p_wait * exp(-t / wait_mean)``), ``J`` the two-point jitter factor.
+
+    *x* must be sorted ascending.  Each jitter branch then splits every
+    row at ``bf = base * factor`` into three windows:
+
+    * ``x < bf`` — the execution has not finished, so the row gains
+      exactly ``prob * 1.0``;
+    * ``bf <= x <= bf + 750 * wait_mean`` — the only window evaluated,
+      with the broadcast formula's elementwise op order (subtract,
+      ``maximum``, negate, divide, ``exp``, ``* p_wait``, ``* prob``,
+      ``+=``);
+    * beyond that — ``exp(-arg / wait_mean)`` underflows to exactly
+      ``+0.0`` (the smallest subnormal is ``e**-744.4``), so the row
+      gains ``+0.0`` and is left untouched.
+
+    Without a wait (``p_wait <= 0`` or ``wait_mean <= 0``) only the
+    first window contributes.  The result is bit-identical to the
+    broadcast form ``sum(prob * where(arg < 0, 1, p_wait * exp(...)))``
+    over the full ``(base, x)`` grid, which ``tests/test_fluid_mode.py``
+    keeps as the reference.
     """
     out = np.zeros((base.size, x.size))
+    waits = p_wait > 0.0 and wait_mean > 0.0
+    scratch = np.empty(x.size)
     for prob, factor in ((1.0 - jitter_p, 1.0), (jitter_p, jitter_factor)):
         if prob <= 0.0:
             continue
-        arg = x[None, :] - (base * factor)[:, None]
-        if p_wait <= 0.0 or wait_mean <= 0.0:
-            surv = (arg < 0.0).astype(float)
+        bfs = base * factor
+        starts = np.searchsorted(x, bfs, side="left").tolist()
+        if waits:
+            stops = np.searchsorted(x, bfs + 750.0 * wait_mean, side="right").tolist()
         else:
-            surv = np.where(
-                arg < 0.0, 1.0, p_wait * np.exp(-np.maximum(arg, 0.0) / wait_mean)
-            )
-        out += prob * surv
+            stops = starts
+        for row, bf, lo, hi in zip(out, bfs.tolist(), starts, stops):
+            row[:lo] += prob
+            if hi <= lo:
+                continue
+            w = scratch[: hi - lo]
+            np.subtract(x[lo:hi], bf, out=w)
+            np.maximum(w, 0.0, out=w)
+            np.negative(w, out=w)
+            np.divide(w, wait_mean, out=w)
+            np.exp(w, out=w)
+            np.multiply(w, p_wait, out=w)
+            np.multiply(w, prob, out=w)
+            row[lo:hi] += w
     return out
 
 
@@ -647,11 +679,17 @@ class _CellModel:
         t_max = d_max + g_max * self.end_ns + tail + 12.0 * self.wait_mean
         grid = np.linspace(0.0, t_max, _TIME_POINTS)
 
-        # Per-class latency CDF (send-time independent part).
+        # Per-class latency CDF (send-time independent part), each
+        # distinct survival evaluated once; ``branches`` holds the shared
+        # first-branch matrix of the cloned pairs.
+        cdf_of: Dict[Tuple, np.ndarray] = {}
+        branches: Dict[Tuple[float, float], np.ndarray] = {}
         cdfs = []
-        for weight, d, g, survival in classes:
-            surv = survival(grid - d, base, base_w)
-            cdfs.append((weight, d, g, 1.0 - surv))
+        for weight, d, g, key in classes:
+            if key not in cdf_of:
+                surv = self._survival(key, grid, base, base_w, branches)
+                cdf_of[key] = 1.0 - surv
+            cdfs.append((weight, d, g, cdf_of[key]))
 
         # Mixture over send times in the measured window, truncated at
         # the simulation horizon (a response arriving after the drain
@@ -704,11 +742,17 @@ class _CellModel:
             extra=extra,
         )
 
-    def _classes(self) -> List[Tuple[float, float, float, Any]]:
-        """(weight, shift, growth slope, survival(x, base, weights))."""
-        classes: List[Tuple[float, float, float, Any]] = []
-        f, p_stale = self.clone_fraction, self.p_stale
-        jp, jf = self.jitter_p, self.jitter_factor
+    def _classes(self) -> List[Tuple[float, float, float, Tuple]]:
+        """(weight, shift, growth slope, survival key) per latency class.
+
+        The key names everything the class's survival depends on beyond
+        the cell constants: ``("uncloned", d, p_wait, wait_mean)`` or
+        ``("pair", d1, delta, p_wait, wait_mean)``.  Classes sharing a
+        key share one evaluation (see :meth:`load_point`); their
+        weights are never merged, so the mixture sums stay in order.
+        """
+        classes: List[Tuple[float, float, float, Tuple]] = []
+        f = self.clone_fraction
         for ci, (_ip, rack_c, rate_c) in enumerate(self.clients):
             share = rate_c / self.rate
             if self.netclone:
@@ -731,14 +775,8 @@ class _CellModel:
                      + self.resp_leg[(ci, rack_s)][0])
                 g = (self.req_leg[(ci, rack_s)][1]
                      + self.resp_leg[(ci, rack_s)][1])
-                p_uw, wm = self.p_wait_uncloned, self.wait_mean
-
-                def surv_uncloned(x, base, bw, _p=p_uw, _wm=wm):
-                    return (bw[None, :] @ _exec_survival(
-                        x, base, jp, jf, _p, _wm
-                    ))[0]
-
-                classes.append((share * (1.0 - f) * pw, d, g, surv_uncloned))
+                key = ("uncloned", d, self.p_wait_uncloned, self.wait_mean)
+                classes.append((share * (1.0 - f) * pw, d, g, key))
 
             if self.netclone and f > 0.0:
                 for (r1, r2), pw in sorted(joint.items()):
@@ -750,17 +788,43 @@ class _CellModel:
                           + self.pipe_ns + self.resp_leg[(ci, r2)][0])
                     g2 = (self.req_leg[(ci, r2)][1]
                           + self.resp_leg[(ci, r2)][1])
-                    delta = d2 - d1
-                    p_cw, wm = self.p_wait_cloned, self.wait_mean
-
-                    def surv_pair(x, base, bw, _delta=delta, _p=p_cw, _wm=wm):
-                        a = _exec_survival(x, base, jp, jf, _p, _wm)
-                        b = _exec_survival(x - _delta, base, jp, jf, _p, _wm)
-                        both = a * (p_stale + (1.0 - p_stale) * b)
-                        return (bw[None, :] @ both)[0]
-
-                    classes.append((share * f * pw, d1, min(g1, g2), surv_pair))
+                    key = ("pair", d1, d2 - d1, self.p_wait_cloned, self.wait_mean)
+                    classes.append((share * f * pw, d1, min(g1, g2), key))
         return classes
+
+    def _survival(
+        self,
+        key: Tuple,
+        grid: np.ndarray,
+        base: np.ndarray,
+        base_w: np.ndarray,
+        branches: Dict[Tuple[float, float], np.ndarray],
+    ) -> np.ndarray:
+        """Base-weighted survival on *grid* of one :meth:`_classes` key.
+
+        A cloned pair's first branch depends only on ``(d1, p_wait)``;
+        it is computed once into *branches* and shared by every pair
+        with that shift.
+        """
+        jp, jf = self.jitter_p, self.jitter_factor
+        if key[0] == "uncloned":
+            _, d, p_wait, wait_mean = key
+            return (base_w[None, :] @ _exec_survival(
+                grid - d, base, jp, jf, p_wait, wait_mean
+            ))[0]
+        _, d1, delta, p_wait, wait_mean = key
+        x = grid - d1
+        a = branches.get((d1, p_wait))
+        if a is None:
+            a = branches[(d1, p_wait)] = _exec_survival(
+                x, base, jp, jf, p_wait, wait_mean
+            )
+        # both = a * (p_stale + (1 - p_stale) * b), built in place on b.
+        both = _exec_survival(x - delta, base, jp, jf, p_wait, wait_mean)
+        both *= 1.0 - self.p_stale
+        both += self.p_stale
+        both *= a
+        return (base_w[None, :] @ both)[0]
 
     # -- diagnostic extras ----------------------------------------------
     def _extras(self) -> Dict[str, float]:

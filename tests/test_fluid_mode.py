@@ -11,8 +11,9 @@ constants.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -132,6 +133,157 @@ def test_hot_trunk_prediction_brackets_saturation():
 def test_fluid_marker_present():
     point = fluid.evaluate(_cell_config("baseline", "ecmp", 1.0))
     assert point.extra["fluid"] == 1.0
+
+
+# ----------------------------------------------------------------------
+# Survival kernel: bit identity with the broadcast formula
+# ----------------------------------------------------------------------
+def _broadcast_survival(x, base, jitter_p, jitter_factor, p_wait, wait_mean):
+    """Reference kernel: the full (base, x) outer-grid formula."""
+    out = np.zeros((base.size, x.size))
+    for prob, factor in ((1.0 - jitter_p, 1.0), (jitter_p, jitter_factor)):
+        if prob <= 0.0:
+            continue
+        arg = x[None, :] - (base * factor)[:, None]
+        if p_wait <= 0.0 or wait_mean <= 0.0:
+            surv = (arg < 0.0).astype(float)
+        else:
+            surv = np.where(
+                arg < 0.0, 1.0, p_wait * np.exp(-np.maximum(arg, 0.0) / wait_mean)
+            )
+        out += prob * surv
+    return out
+
+
+def _kernel_case(name):
+    """(x, base, jitter_p, jitter_factor, p_wait, wait_mean) per case."""
+    base, _ = fluid._base_service_grid(25_000.0)
+    grid = np.linspace(0.0, 4.5e6, 4096)
+    if name == "cell":
+        return grid - 61_000.0, base, 0.01, 15.0, 0.21, 17_000.0
+    if name == "no-wait-prob":
+        return grid - 61_000.0, base, 0.01, 15.0, 0.0, 17_000.0
+    if name == "no-wait-mean":
+        return grid - 61_000.0, base, 0.01, 15.0, 0.21, 0.0
+    if name == "no-jitter":
+        return grid - 61_000.0, base, 0.0, 15.0, 0.21, 17_000.0
+    if name == "arg-exactly-zero":
+        # Every base * factor is itself a grid point, so arg == 0.0.
+        x = np.unique(np.concatenate([grid, base, base * 15.0]))
+        return x, base, 0.01, 15.0, 0.21, 17_000.0
+    if name == "deep-underflow":
+        # 750 * wait_mean is a small fraction of the grid, and points
+        # straddle the cut-off of every row of both jitter branches.
+        cut = np.concatenate([base, base * 15.0]) + 750.0 * 50.0
+        x = np.unique(np.concatenate([
+            grid, cut, np.nextafter(cut, np.inf), np.nextafter(cut, -np.inf),
+        ]))
+        return x, base, 0.01, 15.0, 0.9, 50.0
+    if name == "negative-delta":
+        # A cloned pair's second branch: x - delta with delta < 0.
+        return (grid - 61_000.0) - (-4_250.5), base, 0.01, 15.0, 0.05, 17_000.0
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "cell", "no-wait-prob", "no-wait-mean", "no-jitter",
+    "arg-exactly-zero", "deep-underflow", "negative-delta",
+])
+def test_exec_survival_bit_identical_to_broadcast(name):
+    args = _kernel_case(name)
+    got = fluid._exec_survival(*args)
+    want = _broadcast_survival(*args)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_each_distinct_survival_evaluated_once(monkeypatch):
+    """One kernel call per distinct class key, plus one shared first
+    branch per (d1, p_wait) of the cloned pairs."""
+    calls = []
+    kernel = fluid._exec_survival
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(fluid, "_exec_survival", counting)
+    plan = fluid.plan(_cell_config("netclone", "ecmp", 0.5))
+    model = plan._model
+    plan.point()
+    keys = {key for _w, _d, _g, key in model._classes()}
+    pairs = {key for key in keys if key[0] == "pair"}
+    assert pairs, "netclone cell produced no cloned classes"
+    first_branches = {(key[1], key[3]) for key in pairs}
+    assert len(calls) == len(keys) + len(first_branches)
+
+
+# ----------------------------------------------------------------------
+# Exact golden: fluid LoadPoints, bit for bit
+# ----------------------------------------------------------------------
+#: ``repr`` of every LoadPoint field of two fig18 cells (scale 0.25,
+#: seed 1): one sub-saturated, one saturated.  Any change to these is a
+#: change to the fluid model's numbers, not a refactor.
+FLUID_GOLDEN = {
+    ("baseline", "ecmp", 2.0): {
+        "offered_rps": "2520000.0",
+        "throughput_rps": "2510381.192996047",
+        "p50_us": "31.046854271423566",
+        "p99_us": "160.04237114917785",
+        "p999_us": "876.8652797358575",
+        "mean_us": "41.63509297623513",
+        "samples": "25200",
+        "latency_sketch": "None",
+        "extra": {
+            "clones_dropped": "0",
+            "empty_queue_fraction": "0.8367938013645566",
+            "fluid": "1.0",
+            "nc_cloned": "0",
+            "nc_filtered": "0",
+            "nc_fingerprint_overwrite": "0.0",
+            "redundant_responses": "0.0",
+            "state_samples_total": "31500",
+            "state_samples_zero": "26359",
+            "trunk_drops": "0.0",
+            "trunk_tx_bytes": "8050153.0",
+            "trunk_util_max": "0.32145227743750465",
+            "trunk_util_mean": "0.1610030693593762",
+        },
+    },
+    ("netclone", "least-loaded", 0.5): {
+        "offered_rps": "2520000.0",
+        "throughput_rps": "2510492.045326139",
+        "p50_us": "43.64102532237873",
+        "p99_us": "167.09772326420622",
+        "p999_us": "816.5527374603593",
+        "mean_us": "50.83901642432934",
+        "samples": "25200",
+        "latency_sketch": "None",
+        "extra": {
+            "clones_dropped": "3267",
+            "empty_queue_fraction": "0.5343138748448544",
+            "fluid": "1.0",
+            "nc_cloned": "8993",
+            "nc_filtered": "5726",
+            "nc_fingerprint_overwrite": "0.0",
+            "redundant_responses": "0.0",
+            "state_samples_total": "37226",
+            "state_samples_zero": "19891",
+            "trunk_drops": "0.0",
+            "trunk_tx_bytes": "10417634.0",
+            "trunk_util_max": "0.8334106895932223",
+            "trunk_util_mean": "0.8334106895932223",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("cell", sorted(FLUID_GOLDEN), ids=str)
+def test_fluid_point_exact_golden(cell):
+    point = fluid.evaluate(_cell_config(*cell))
+    got = {f.name: repr(getattr(point, f.name)) for f in fields(point)}
+    got["extra"] = {key: repr(value) for key, value in sorted(point.extra.items())}
+    assert got == FLUID_GOLDEN[cell]
 
 
 # ----------------------------------------------------------------------

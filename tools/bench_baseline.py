@@ -279,14 +279,22 @@ def _compare(baseline: dict, measured: dict, rate_keys: tuple) -> list:
 
 
 def _git_commit() -> str:
+    """Short HEAD hash, with ``+dirty`` when tracked files are modified
+    (so a history row names the tree it actually measured)."""
     try:
-        proc = subprocess.run(
+        head = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
             cwd=REPO, capture_output=True, text=True, check=True,
-        )
-        return proc.stdout.strip() or "unknown"
+        ).stdout.strip()
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=REPO, capture_output=True, text=True, check=True,
+        ).stdout.strip()
     except Exception:
         return "unknown"
+    if not head:
+        return "unknown"
+    return f"{head}+dirty" if status else head
 
 
 def _history_append(measured: dict, rate_keys: tuple) -> None:
