@@ -1,5 +1,5 @@
-# Developer/CI entry points.  PYTHONPATH=src because the package is
-# run from the source tree (no install step in the container).
+# Developer/CI entry points.  PYTHONPATH=src so every target runs from
+# a plain checkout; `pip install -e ".[test]"` (pyproject.toml) works too.
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 

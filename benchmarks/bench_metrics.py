@@ -7,7 +7,7 @@ an ``array("q")``-equivalent sample vector in exact mode, a
 filled incrementally *during* the simulation, so ingest is not
 collection).  Collection is what happens next, and is what these
 benches time: serialize each worker's result payload (what the pool
-pipe / shm channel ships), deserialize in the parent, merge the
+pipe ships), deserialize in the parent, merge the
 shards, and read p50/p99/p99.9.  Exact mode ships, copies and
 partition-selects O(requests) bytes; sketch mode ships O(buckets) and
 merges bucket-wise — the gap is the point of the streaming metrics

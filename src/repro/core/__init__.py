@@ -10,7 +10,6 @@
 * :mod:`racksched` — RackSched (JSQ / power-of-two) and the
   NetClone+RackSched integration (§3.7).
 * :mod:`client` / :mod:`server` — NetClone-aware end hosts.
-* :mod:`multirack` — switch-ID gating for multi-rack deployments.
 """
 
 from repro.core.constants import (

@@ -44,7 +44,7 @@ from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import SchedulingError
 
-__all__ = ["EventHandle", "Simulator"]
+__all__ = ["EventHandle", "PySimulator", "Simulator", "USING_CCORE"]
 
 # Entry layout: (time, seq, fn, args) for fast-path events and
 # (time, seq, handle, None) for cancellable ones — a single tuple shape
@@ -455,33 +455,10 @@ class Simulator:
 
 
 # ----------------------------------------------------------------------
-# Engine selection
+# Names the packet-path benchmark (perfbench/) reads
 # ----------------------------------------------------------------------
-#: The pure-Python reference engine, always importable by name (tests
-#: that poke lane internals pin this class explicitly).
+#: Alias of :class:`Simulator`; perfbench's engine-type check reads it.
 PySimulator = Simulator
 
-#: True when the C scheduler core is active.
+#: Always False (there is one engine); perfbench's provenance reads it.
 USING_CCORE = False
-
-
-def _load_c_engine():
-    """Swap in the C core when it builds; silently fall back otherwise."""
-    try:
-        from repro.sim._ccore_build import load_ccore
-        module = load_ccore()
-        if module is None:
-            return None
-        module.configure(EventHandle, SchedulingError)
-        return module
-    except Exception:  # pragma: no cover - any failure means fallback
-        return None
-
-
-_ccore = _load_c_engine()
-if _ccore is not None:
-    Simulator = _ccore.Simulator  # type: ignore[misc]  # noqa: F811
-    USING_CCORE = True
-del _ccore
-
-__all__ += ["PySimulator", "USING_CCORE"]

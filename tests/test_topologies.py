@@ -352,21 +352,15 @@ def test_cli_rejects_unknown_topology():
 
 
 # ----------------------------------------------------------------------
-# No bespoke wiring left: the compat shim delegates to the fabric
+# Two-rack wiring: attaching a host teaches the far ToR its route
 # ----------------------------------------------------------------------
 def test_two_rack_topology_shim_is_fabric_backed():
-    from repro.core.multirack import TwoRackTopology
-
     sim = Simulator()
-    a = ProgrammableSwitch(sim, name="tor-a")
-    b = ProgrammableSwitch(sim, name="tor-b")
-    fabric = TwoRackTopology(sim, a, b)
-    assert isinstance(fabric, TwoRackFabric)
-    assert fabric.client_switch is a and fabric.server_switch is b
-    server = Host(sim, "s1", fabric.server_star.allocate_ip())
-    port = fabric.add_server(server)
-    assert fabric.server_star.port_of["s1"] == port
-    assert a.routes[server.ip] == fabric.uplink_port_a
+    fabric = TwoRackFabric(sim, make_switch_factory(sim))
+    server = Host(sim, "s1", fabric.stars[1].allocate_ip())
+    port = fabric.attach(server, "server", 0)
+    assert fabric.stars[1].port_of["s1"] == port
+    assert fabric.tors[0].routes[server.ip] == fabric.uplink_ports[0]
 
 
 # ----------------------------------------------------------------------
