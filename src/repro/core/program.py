@@ -190,7 +190,9 @@ class NetCloneProgram(SwitchProgram):
         feed-forward stage order, placement, one register access per
         pass — which licenses a per-packet path that skips the context
         object entirely and addresses register state through flat
-        ``base + index`` offsets into the shared register file.
+        ``base + index`` offsets into the shared register file.  The
+        lane also makes the :meth:`matches` test itself, so the switch
+        calls it for every packet and unclaimed ones come back ``None``.
 
         Returns ``None`` (→ the dynamic checked path stays in charge)
         for subclasses that override any pass logic, or if a plan
@@ -248,7 +250,13 @@ class NetCloneProgram(SwitchProgram):
         num_filters = len(filters)
 
         def fast_apply(packet, switch):
+            # matches(), folded in: unclaimed packets forward untouched.
             nc = packet.nc
+            if packet.dport != NETCLONE_UDP_PORT or nc is None:
+                return None
+            swid = nc.swid
+            if swid != SWID_UNSET and swid != program.switch_id:
+                return None
             msg_type = nc.msg_type
             if msg_type == MSG_REQ:
                 if packet.recirculated:
@@ -265,7 +273,7 @@ class NetCloneProgram(SwitchProgram):
                     packet.dst = address
                     return None
                 # Fresh request (lines 1-10).
-                if nc.swid == SWID_UNSET:
+                if swid == SWID_UNSET:
                     nc.swid = program.switch_id
                 seq_reg.access_count += 1
                 old = cells[seq_i]

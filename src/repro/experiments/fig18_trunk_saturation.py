@@ -87,9 +87,8 @@ def collect(
     worker busy across all three axes.
 
     *fluid* opts cells into the analytic fast path of
-    :mod:`repro.sim.fluid` (replacing the retired ``coarse_tail``
-    window-halving): a cell whose predicted hot-trunk utilisation is at
-    least *fluid* — and whose configuration the model covers — is
+    :mod:`repro.sim.fluid`: a cell whose predicted hot-trunk utilisation
+    is at least *fluid* — and whose configuration the model covers — is
     evaluated deterministically instead of packet-by-packet.  ``0.0``
     sends every eligible cell fluid (the benchmark setting); ``1.0``
     keeps only genuinely saturated cells, where the fluid limit is most

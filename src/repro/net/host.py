@@ -107,14 +107,10 @@ class Host:
         if mode == 2:
             entry(packet, when)
             return
-        # Simulator.call_at push inlined (keep in sync with sim/core.py).
+        # Simulator.call_at, inlined: one seq per event, one heappush.
         seq = sim._seq + 1
         sim._seq = seq
-        tail = sim._tail
-        if not tail or when >= tail[-1][0]:
-            tail.append((when, seq, entry, (packet, link)))
-        else:
-            heappush(sim._heap, (when, seq, entry, (packet, link)))
+        heappush(sim._heap, (when, seq, entry, (packet, link)))
 
     def _emit(self, packet: Packet) -> None:
         assert self.link is not None
@@ -145,15 +141,11 @@ class Host:
         done = start + cost
         nic._rx_free_at = done
         nic.rx_count += 1
-        # Simulator.call_at push inlined (keep in sync with sim/core.py).
+        # Simulator.call_at, inlined: one seq per event, one heappush.
         sim = self.sim
         seq = sim._seq + 1
         sim._seq = seq
-        tail = sim._tail
-        if not tail or done >= tail[-1][0]:
-            tail.append((done, seq, self.handle, (packet,)))
-        else:
-            heappush(sim._heap, (done, seq, self.handle, (packet,)))
+        heappush(sim._heap, (done, seq, self.handle, (packet,)))
 
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:

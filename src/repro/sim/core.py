@@ -1,23 +1,13 @@
 """Core discrete-event engine.
 
-The engine is a two-lane calendar queue.  Entries are plain tuples
-``(time, seq, fn, args)`` — ``time`` orders events, ``seq`` is a
-monotonically increasing tie-breaker that guarantees FIFO ordering for
-events scheduled at the same instant (and, being unique, guarantees
-tuple comparisons never reach the payload elements).  The two lanes:
+The engine is a single :mod:`heapq` of plain tuples ``(time, seq, fn,
+args)`` — ``time`` orders events, ``seq`` is a monotonically increasing
+tie-breaker that guarantees FIFO ordering for events scheduled at the
+same instant (and, being unique, guarantees tuple comparisons never
+reach the payload elements).  Events therefore run in the total
+``(time, seq)`` order.
 
-* a **sorted tail** (:class:`collections.deque`): an entry scheduled at
-  or after the latest tail entry is appended in O(1) — no heap sift on
-  push *or* pop.  Pre-drawn arrival schedules, back-to-back NIC/link
-  serialisation slots and drain phases are all monotone, so in practice
-  most events ride this lane;
-* a classic :mod:`heapq` **heap** for out-of-order entries.
-
-Popping takes the global minimum of the two lane heads, so the executed
-order is exactly the total ``(time, seq)`` order a single heap would
-produce — the split is invisible to simulations.
-
-Two scheduling APIs share the lanes:
+Two scheduling APIs share the heap:
 
 * :meth:`Simulator.call_at` / :meth:`Simulator.call_after` — the fast
   path for the ~95% of events that are never cancelled (packet
@@ -27,18 +17,19 @@ Two scheduling APIs share the lanes:
 * :meth:`Simulator.schedule` / :meth:`Simulator.at` — return an
   :class:`EventHandle` that can be cancelled.  Cancellation is O(1)
   (lazy deletion: the handle is flagged and skipped when popped) and
-  the lanes are compacted in one pass when cancelled entries come to
+  the heap is compacted in one pass when cancelled entries come to
   dominate.
 
 Both APIs consume one ``seq`` per event, so converting a call site from
 ``at`` to ``call_at`` leaves the execution order of every event
-bit-identical.  Higher-level conveniences (generator processes,
-resources) are layered on top in sibling modules.
+bit-identical.  Hot components inline the fast-path push as a ``seq``
+bump plus one ``heappush(sim._heap, (when, seq, fn, args))``.
+Higher-level conveniences (generator processes, resources) are layered
+on top in sibling modules.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
@@ -49,6 +40,9 @@ __all__ = ["EventHandle", "PySimulator", "Simulator", "USING_CCORE"]
 # Entry layout: (time, seq, fn, args) for fast-path events and
 # (time, seq, handle, None) for cancellable ones — a single tuple shape
 # check (``entry[3] is None``) distinguishes them on the pop path.
+
+#: ``run``'s horizon when it has no ``until``: no time exceeds it.
+_NO_HORIZON = float("inf")
 
 
 class EventHandle:
@@ -103,7 +97,7 @@ class Simulator:
     timestamp of the next scheduled event.
     """
 
-    __slots__ = ("now", "_heap", "_tail", "_seq", "_running", "_event_count", "_cancelled")
+    __slots__ = ("now", "_heap", "_seq", "_event_count", "_cancelled")
 
     #: Compaction trigger: at least this many cancelled entries AND
     #: cancelled entries making up at least half the pending set.
@@ -113,9 +107,7 @@ class Simulator:
         #: Current simulated time in nanoseconds.
         self.now: int = 0
         self._heap: list = []
-        self._tail: deque = deque()
         self._seq = 0
-        self._running = False
         self._event_count = 0
         self._cancelled = 0
 
@@ -136,12 +128,7 @@ class Simulator:
             raise SchedulingError(f"negative delay {delay!r}")
         seq = self._seq + 1
         self._seq = seq
-        entry = (self.now + delay, seq, fn, args)
-        tail = self._tail
-        if not tail or entry >= tail[-1]:
-            tail.append(entry)
-        else:
-            heappush(self._heap, entry)
+        heappush(self._heap, (self.now + delay, seq, fn, args))
 
     def call_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute ``time`` ns (fast path)."""
@@ -151,12 +138,7 @@ class Simulator:
             )
         seq = self._seq + 1
         self._seq = seq
-        entry = (time, seq, fn, args)
-        tail = self._tail
-        if not tail or entry >= tail[-1]:
-            tail.append(entry)
-        else:
-            heappush(self._heap, entry)
+        heappush(self._heap, (time, seq, fn, args))
 
     # ------------------------------------------------------------------
     # Scheduling — cancellable path
@@ -180,71 +162,39 @@ class Simulator:
         handle = EventHandle(time, fn, args, sim=self)
         seq = self._seq + 1
         self._seq = seq
-        entry = (time, seq, handle, None)
-        tail = self._tail
-        if not tail or entry >= tail[-1]:
-            tail.append(entry)
-        else:
-            heappush(self._heap, entry)
+        heappush(self._heap, (time, seq, handle, None))
         return handle
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
     # ------------------------------------------------------------------
     def _note_cancelled(self) -> None:
-        """Called by :meth:`EventHandle.cancel`; compacts lanes whose
-        live entries are drowned out by lazily-deleted ones."""
+        """Called by :meth:`EventHandle.cancel`; compacts the heap when
+        its live entries are drowned out by lazily-deleted ones."""
         self._cancelled += 1
-        if (
-            self._cancelled >= self.COMPACT_THRESHOLD
-            and self._cancelled * 2 >= len(self._heap) + len(self._tail)
-        ):
-            # In place, so locals bound by a running ``run`` loop stay
-            # valid.  Filtering preserves the tail's sorted order.
-            live = [e for e in self._heap if e[3] is not None or not e[2].cancelled]
-            self._heap[:] = live
-            heapify(self._heap)
-            live_tail = [e for e in self._tail if e[3] is not None or not e[2].cancelled]
-            self._tail.clear()
-            self._tail.extend(live_tail)
+        heap = self._heap
+        if self._cancelled >= self.COMPACT_THRESHOLD and self._cancelled * 2 >= len(heap):
+            # In place, so the heap bound by a running ``run`` loop
+            # stays valid.
+            heap[:] = [e for e in heap if e[3] is not None or not e[2].cancelled]
+            heapify(heap)
             self._cancelled = 0
 
     def _live_head(self) -> Optional[tuple]:
         """The earliest non-cancelled entry, discarding dead ones.
 
-        The single place that implements lazy deletion for the peeking
-        paths: ``step`` and ``peek`` funnel through it (``run`` inlines
-        the same logic).  The returned entry is *not* popped.
+        ``step`` and ``peek`` funnel through it (``run`` inlines the
+        same lazy deletion).  The returned entry is *not* popped.
         """
         heap = self._heap
-        tail = self._tail
-        while True:
-            head = None
-            if tail:
-                head = tail[0]
-                if head[3] is None and head[2].cancelled:
-                    tail.popleft()
-                    if self._cancelled:
-                        self._cancelled -= 1
-                    continue
-            if heap:
-                hh = heap[0]
-                if hh[3] is None and hh[2].cancelled:
-                    heappop(heap)
-                    if self._cancelled:
-                        self._cancelled -= 1
-                    continue
-                if head is None or hh < head:
-                    return hh
-            return head
-
-    def _pop_entry(self, entry: tuple) -> None:
-        """Remove *entry*, known to be a live lane head, from its lane."""
-        tail = self._tail
-        if tail and tail[0] is entry:
-            tail.popleft()
-        else:
-            heappop(self._heap)
+        while heap:
+            head = heap[0]
+            if head[3] is not None or not head[2].cancelled:
+                return head
+            heappop(heap)
+            if self._cancelled:
+                self._cancelled -= 1
+        return None
 
     # ------------------------------------------------------------------
     # Execution
@@ -258,7 +208,7 @@ class Simulator:
         entry = self._live_head()
         if entry is None:
             return False
-        self._pop_entry(entry)
+        heappop(self._heap)
         time, _seq, target, args = entry
         self.now = time
         self._event_count += 1
@@ -277,153 +227,39 @@ class Simulator:
         :param max_events: stop after this many events have run.
         :returns: the number of events executed by this call.
         """
-        executed = 0
-        self._running = True
+        # One loop for every limit combination: an absent limit is one
+        # that never binds.  It pops first and pushes back the single
+        # entry that crosses the horizon, instead of peeking per event.
+        horizon = _NO_HORIZON if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
         heap = self._heap
-        tail = self._tail
-        pop_tail = tail.popleft
+        executed = 0
         try:
-            if until is None and max_events is None:
-                # Drain fast path: pop unconditionally, no limit checks.
-                while True:
-                    if tail:
-                        if heap:
-                            if heap[0] < tail[0]:
-                                entry = heappop(heap)
-                            else:
-                                entry = pop_tail()
-                        else:
-                            # Batch drain: while the heap stays empty
-                            # the tail's monotone run is the entire
-                            # event order — dispatch it in one tight
-                            # loop with a single truth test per event
-                            # instead of re-entering the two-lane
-                            # dispatcher.  A callback can only disturb
-                            # the run by spilling into the heap, which
-                            # the `not heap` check catches exactly.
-                            while tail and not heap:
-                                entry = pop_tail()
-                                args = entry[3]
-                                if args is not None:
-                                    self.now = entry[0]
-                                    executed += 1
-                                    entry[2](*args)
-                                else:
-                                    handle = entry[2]
-                                    if handle.cancelled:
-                                        if self._cancelled:
-                                            self._cancelled -= 1
-                                        continue
-                                    handle.sim = None
-                                    self.now = entry[0]
-                                    executed += 1
-                                    handle.fn(*handle.args)
-                            continue
-                    elif heap:
-                        entry = heappop(heap)
-                    else:
-                        break
-                    args = entry[3]
-                    if args is not None:
-                        self.now = entry[0]
-                        executed += 1
-                        entry[2](*args)
-                    else:
-                        handle = entry[2]
-                        if handle.cancelled:
-                            if self._cancelled:
-                                self._cancelled -= 1
-                            continue
-                        handle.sim = None  # fired: later cancel() must not count it
-                        self.now = entry[0]
-                        executed += 1
-                        handle.fn(*handle.args)
-            elif max_events is None:
-                # Horizon-only loop (the experiment shape): pop first
-                # like the drain loop and push the one horizon-crossing
-                # entry back, instead of peek-then-pop on every event.
-                while True:
-                    if tail:
-                        if heap and heap[0] < tail[0]:
-                            entry = heappop(heap)
-                            from_tail = False
-                        else:
-                            entry = pop_tail()
-                            from_tail = True
-                    elif heap:
-                        entry = heappop(heap)
-                        from_tail = False
-                    else:
-                        if until > self.now:
-                            self.now = until
-                        break
-                    args = entry[3]
-                    if args is None and entry[2].cancelled:
-                        if self._cancelled:
-                            self._cancelled -= 1
-                        continue
-                    if entry[0] > until:
-                        # Past the horizon: restore it for a later run().
-                        if from_tail:
-                            tail.appendleft(entry)
-                        else:
-                            heappush(heap, entry)
+            while executed != budget:
+                try:
+                    entry = heappop(heap)
+                except IndexError:
+                    if until is not None and until > self.now:
                         self.now = until
-                        break
-                    self.now = entry[0]
-                    executed += 1
-                    if args is None:
-                        handle = entry[2]
-                        handle.sim = None
-                        handle.fn(*handle.args)
-                    else:
-                        entry[2](*args)
-            else:
-                # Same pop logic again, plus the limit checks — still
-                # inline, one Python frame per event.
-                while True:
-                    if executed >= max_events:
-                        break
-                    if tail:
-                        if heap and heap[0] < tail[0]:
-                            entry = heap[0]
-                            from_tail = False
-                        else:
-                            entry = tail[0]
-                            from_tail = True
-                    elif heap:
-                        entry = heap[0]
-                        from_tail = False
-                    else:
-                        if until is not None and until > self.now:
-                            self.now = until
-                        break
-                    args = entry[3]
-                    if args is None and entry[2].cancelled:
-                        if from_tail:
-                            pop_tail()
-                        else:
-                            heappop(heap)
-                        if self._cancelled:
-                            self._cancelled -= 1
-                        continue
-                    if until is not None and entry[0] > until:
-                        self.now = until
-                        break
-                    if from_tail:
-                        pop_tail()
-                    else:
-                        heappop(heap)
-                    self.now = entry[0]
-                    executed += 1
-                    if args is None:
-                        handle = entry[2]
-                        handle.sim = None
-                        handle.fn(*handle.args)
-                    else:
-                        entry[2](*args)
+                    break
+                time, _seq, target, args = entry
+                if args is None and target.cancelled:
+                    if self._cancelled:
+                        self._cancelled -= 1
+                    continue
+                if time > horizon:
+                    # Past the horizon: restore it for a later run().
+                    heappush(heap, entry)
+                    self.now = until
+                    break
+                self.now = time
+                executed += 1
+                if args is None:
+                    target.sim = None  # fired: later cancel() must not count it
+                    target.fn(*target.args)
+                else:
+                    target(*args)
         finally:
-            self._running = False
             self._event_count += executed
         return executed
 
@@ -433,7 +269,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of queue entries, including lazily-cancelled ones."""
-        return len(self._heap) + len(self._tail)
+        return len(self._heap)
 
     @property
     def event_count(self) -> int:

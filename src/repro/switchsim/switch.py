@@ -44,9 +44,10 @@ class SwitchProgram:
 
     #: Optional statically-verified per-packet path: a callable
     #: ``fast_apply(packet, switch) -> Optional[PipelineAction]``
-    #: equivalent to ``apply`` but licensed (via
-    #: :meth:`Pipeline.compile_plan`) to skip the per-packet
-    #: :class:`PassContext` checks.  ``None`` means "use ``apply``".
+    #: equivalent to ``matches`` + ``apply`` (unclaimed packets return
+    #: ``None``) but licensed (via :meth:`Pipeline.compile_plan`) to
+    #: skip the per-packet :class:`PassContext` checks.  ``None`` means
+    #: "use ``matches`` + ``apply``".
     fast_apply = None
 
     def matches(self, packet: Packet) -> bool:
@@ -207,22 +208,21 @@ class ProgrammableSwitch:
         packet.ingress_port = port
         packet.recirculated = False
         self._counts["rx"] += 1
-        program = self.program
-        if program is not None and program.matches(packet):
-            fast = self._fast_apply
-            if fast is not None:
-                action = fast(packet, self)
-            else:
-                ctx = program.pipeline.new_pass()
-                action = program.apply(packet, ctx, self)
-            # ``None`` is the program's plain-forward fast path: route
-            # the (possibly rewritten) packet, no copies, no drop.
-            if action is None:
-                self._egress(packet, None)
-            else:
-                self._apply_action(packet, action)
+        fast = self._fast_apply
+        if fast is not None:
+            action = fast(packet, self)
         else:
+            program = self.program
+            if program is not None and program.matches(packet):
+                action = program.apply(packet, program.pipeline.new_pass(), self)
+            else:
+                action = None
+        # ``None`` is the plain-forward fast path: route the (possibly
+        # rewritten, or unclaimed) packet, no copies, no drop.
+        if action is None:
             self._egress(packet, None)
+        else:
+            self._apply_action(packet, action)
 
     def _port_of_link(self, link: Link) -> int:
         port = self._port_by_link.get(id(link))
@@ -235,22 +235,21 @@ class ProgrammableSwitch:
             self.counters.incr("dropped_down")
             packet.release()
             return
-        program = self.program
-        if program is not None and program.matches(packet):
-            fast = self._fast_apply
-            if fast is not None:
-                action = fast(packet, self)
-            else:
-                ctx = program.pipeline.new_pass()
-                action = program.apply(packet, ctx, self)
-            if action is None:
-                self._egress(packet, None)
-            else:
-                self._apply_action(packet, action)
+        fast = self._fast_apply
+        if fast is not None:
+            action = fast(packet, self)
         else:
-            # Unclaimed packets are routed without materialising an
-            # empty PipelineAction.
+            program = self.program
+            if program is not None and program.matches(packet):
+                action = program.apply(packet, program.pipeline.new_pass(), self)
+            else:
+                action = None
+        # Unclaimed packets are routed without materialising an empty
+        # PipelineAction.
+        if action is None:
             self._egress(packet, None)
+        else:
+            self._apply_action(packet, action)
 
     def _apply_action(self, packet: Packet, action: PipelineAction) -> None:
         counts = self._counts
@@ -399,16 +398,11 @@ class ProgrammableSwitch:
                         when = when2
                         entry = entry2
                         link = link2
-        # Simulator.call_at push inlined (keep in sync with sim/core.py):
-        # ``when`` can never precede ``now`` and the unique increasing
-        # seq makes the time-only tail compare equivalent.
+        # Simulator.call_at, inlined: one seq per event, one heappush
+        # (``when`` can never precede ``now``).
         seq = sim._seq + 1
         sim._seq = seq
-        tail = sim._tail
-        if not tail or when >= tail[-1][0]:
-            tail.append((when, seq, entry, (packet, link)))
-        else:
-            heappush(sim._heap, (when, seq, entry, (packet, link)))
+        heappush(sim._heap, (when, seq, entry, (packet, link)))
 
     # ------------------------------------------------------------------
     # Failure handling (§5.6.4)

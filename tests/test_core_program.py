@@ -18,6 +18,7 @@ from repro.core import (
 from repro.core.program import CLO_NEVER_CLONE, SCHED_JSQ
 from repro.core.racksched import NetCloneRackSchedProgram, RackSchedProgram
 from repro.errors import PipelineConfigError
+from repro.net import Host, Link
 from repro.net.packet import Packet
 from repro.sim import Simulator
 from repro.switchsim import ProgrammableSwitch
@@ -252,6 +253,74 @@ def test_matches_swid_gate_for_multirack():
     assert program.matches(request(swid=0))  # unstamped: process
     assert program.matches(request(swid=2))  # our own stamp: process
     assert not program.matches(request(swid=1))  # another ToR's packet
+
+
+class _CheckedPathProgram(NetCloneProgram):
+    """Overrides a pass method, which disables the fast lane."""
+
+    def _apply_request(self, packet, ctx, switch):
+        return super()._apply_request(packet, ctx, switch)
+
+
+class _SinkHost(Host):
+    def __init__(self, sim, name, ip):
+        super().__init__(sim, name, ip, tx_cost_ns=0, rx_cost_ns=0)
+        self.received = []
+
+    def handle(self, packet):
+        self.received.append(packet)
+
+
+def _header_fields(packet):
+    nc = packet.nc
+    return None if nc is None else {name: getattr(nc, name) for name in nc.__slots__}
+
+
+@pytest.mark.parametrize(
+    "program_cls", [NetCloneProgram, _CheckedPathProgram], ids=["fast-lane", "checked"]
+)
+def test_unclaimed_packets_forward_unchanged_through_link_ingress(program_cls):
+    sim = Simulator()
+    switch = ProgrammableSwitch(sim)
+    program = program_cls(server_ips=SERVER_IPS, switch_id=2)
+    switch.install_program(program)
+    assert (switch._fast_apply is not None) == (program_cls is NetCloneProgram)
+    sender, sink = _SinkHost(sim, "sender", 5000), _SinkHost(sim, "sink", 6000)
+    links = {}
+    for port, host in enumerate((sender, sink)):
+        links[host.name] = link = Link(sim, host, switch)
+        host.attach_link(link)
+        switch.connect(port, link)
+        switch.install_route(host.ip, port)
+
+    wrong_port = request()
+    wrong_port.dport = 1234
+    no_header = Packet(
+        src=5000, dst=6000, sport=NETCLONE_UDP_PORT, dport=NETCLONE_UDP_PORT, size=64
+    )
+    foreign_swid = request(swid=1)
+    packets = [wrong_port, no_header, foreign_swid]
+    for packet in packets:
+        packet.dst = sink.ip
+    before = [_header_fields(packet) for packet in packets]
+    cells_before = list(program._register_file.data)
+
+    for packet in packets:
+        switch.link_ingress(packet, links["sender"])
+    sim.run()
+
+    assert sink.received == packets
+    assert [_header_fields(packet) for packet in packets] == before
+    assert foreign_swid.nc.req_id == 0
+    assert all(packet.dst == sink.ip for packet in packets)
+    assert list(program._register_file.data) == cells_before
+    registers = [program.seq, program.state_table, program.shadow_table, *program.filters]
+    assert [reg.access_count for reg in registers] == [0] * len(registers)
+    assert program.grp_table.lookup_count == program.addr_table.lookup_count == 0
+    assert program.hash_unit.invocations == 0
+    counts = switch.counters.as_dict()
+    assert not {name for name, value in counts.items() if name.startswith("nc_") and value}
+    assert counts["rx"] == counts["tx"] == 3
 
 
 def test_request_stamps_swid():

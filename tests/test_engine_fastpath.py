@@ -1,11 +1,11 @@
 """The engine fast path: ordering, compaction, and seed bit-identity.
 
-The hot-path overhaul split scheduling into two lanes — handle-free
-``call_at``/``call_after`` tuples and cancellable ``at``/``schedule``
-handles — sharing one sequence counter and one calendar queue.  These
-tests pin the contract that makes that safe:
+Scheduling has two APIs — handle-free ``call_at``/``call_after``
+tuples and cancellable ``at``/``schedule`` handles — sharing one
+sequence counter and one heap.  These tests pin the contract that makes
+that safe:
 
-* the two lanes interleave in strict FIFO order at equal timestamps;
+* the two APIs interleave in strict FIFO order at equal timestamps;
 * cancellation is lazy but bounded: compaction keeps the queue from
   accumulating dead entries under churn;
 * none of it changes simulation results — tiny fig08-star and
@@ -52,7 +52,7 @@ def test_call_after_matches_schedule_at_equal_delay():
 def test_fast_lane_out_of_order_times_still_sort():
     sim = Simulator()
     order = []
-    # Push against the monotone tail so entries spill into the heap.
+    # Out-of-order pushes must still pop in (time, seq) order.
     for t in (30, 10, 20, 10, 30, 5):
         sim.call_at(t, order.append, t)
     sim.run()
@@ -73,13 +73,13 @@ def test_compaction_bounds_cancelled_entries():
     # Compaction triggers whenever cancelled entries reach half the
     # queue; after this much churn the backlog must be a small
     # fraction of the cancellations, not proportional to them.
-    pending = len(sim._heap) + len(sim._tail)
+    pending = sim.pending
     assert pending < 2 * 500 + Simulator.COMPACT_THRESHOLD
     assert sim._cancelled <= pending
     sim.run()
     assert survivors == [i for i in range(5000) if i % 10 == 0]
     assert sim._cancelled == 0
-    assert not sim._heap and not sim._tail
+    assert sim.pending == 0
 
 
 def test_cancel_churn_preserves_fast_lane_order():

@@ -1,7 +1,9 @@
 """Tests for the discrete-event engine core."""
 
+import bisect
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
@@ -193,3 +195,177 @@ def test_property_fifo_within_equal_times(delays):
     sim.run()
     # Stable sort by delay must reproduce the firing order exactly.
     assert fired == sorted(fired, key=lambda pair: pair[0])
+
+
+# ----------------------------------------------------------------------
+# The dispatch loop against a reference model
+# ----------------------------------------------------------------------
+class _RefHandle:
+    def __init__(self, sim, fn, args):
+        self.sim, self.fn, self.args, self.cancelled = sim, fn, args, False
+
+    def cancel(self):
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if self.sim is not None:
+            self.sim._note_cancelled()
+
+
+class _ReferenceSim:
+    """The engine's contract spelled out over a list sorted by (time, seq).
+
+    Cancelled entries stay listed until they reach the head or are
+    compacted away, as in the engine, so ``pending`` compares exactly.
+    """
+
+    def __init__(self, compact_threshold):
+        self.now = 0
+        self.event_count = 0
+        self._seq = 0
+        self._entries = []
+        self._cancelled = 0
+        self._threshold = compact_threshold
+
+    @property
+    def pending(self):
+        return len(self._entries)
+
+    def _push(self, time, target, args):
+        self._seq += 1
+        bisect.insort(self._entries, (time, self._seq, target, args))
+
+    def call_at(self, time, fn, *args):
+        self._push(time, fn, args)
+
+    def call_after(self, delay, fn, *args):
+        self._push(self.now + delay, fn, args)
+
+    def at(self, time, fn, *args):
+        handle = _RefHandle(self, fn, args)
+        self._push(time, handle, None)
+        return handle
+
+    def _note_cancelled(self):
+        self._cancelled += 1
+        if self._cancelled >= self._threshold and self._cancelled * 2 >= len(self._entries):
+            self._entries = [e for e in self._entries if e[3] is not None or not e[2].cancelled]
+            self._cancelled = 0
+
+    def _live_head(self):
+        while self._entries:
+            head = self._entries[0]
+            if head[3] is not None or not head[2].cancelled:
+                return head
+            del self._entries[0]
+            self._cancelled = max(self._cancelled - 1, 0)
+        return None
+
+    def _fire(self, entry):
+        del self._entries[0]
+        time, _seq, target, args = entry
+        self.now = time
+        self.event_count += 1
+        if args is None:
+            target.sim = None
+            target.fn(*target.args)
+        else:
+            target(*args)
+
+    def step(self):
+        head = self._live_head()
+        if head is None:
+            return False
+        self._fire(head)
+        return True
+
+    def peek(self):
+        head = self._live_head()
+        return None if head is None else head[0]
+
+    def run(self, until=None, max_events=None):
+        executed = 0
+        while max_events is None or executed < max_events:
+            head = self._live_head()
+            if head is None:
+                if until is not None and until > self.now:
+                    self.now = until
+                break
+            if until is not None and head[0] > until:
+                self.now = until
+                break
+            self._fire(head)
+            executed += 1
+        return executed
+
+
+def _drive(sim, ops):
+    """Apply *ops* to *sim*; return what each call observed, in order."""
+    fired = []
+    handles = []
+
+    def fire(label, spawn):
+        fired.append((sim.now, label))
+        if spawn is not None:
+            kind, delay = spawn
+            schedule(kind, sim.now + delay, (label, "child"), None)
+
+    def schedule(kind, time, label, spawn):
+        if kind == "call_at":
+            sim.call_at(time, fire, label, spawn)
+        elif kind == "call_after":
+            sim.call_after(time - sim.now, fire, label, spawn)
+        else:
+            handles.append(sim.at(time, fire, label, spawn))
+
+    observed = []
+    for index, op in enumerate(ops):
+        kind = op[0]
+        result = None
+        if kind in ("call_at", "call_after", "at"):
+            schedule(kind, sim.now + op[1], index, op[2])
+        elif kind == "cancel":  # op[1] counts back from the newest handle
+            if handles:
+                handles[-1 - op[1] % len(handles)].cancel()
+        elif kind == "run":
+            until = None if op[1] is None else sim.now + op[1]
+            result = sim.run(until=until, max_events=op[2])
+        elif kind == "step":
+            result = sim.step()
+        else:
+            result = sim.peek()
+        observed.append((op, result, sim.now, sim.event_count, sim.pending, len(fired)))
+    observed.append(("drain", sim.run(), sim.now, sim.event_count, sim.pending))
+    return observed, fired
+
+
+_spawns = st.none() | st.tuples(
+    st.sampled_from(["call_after", "at"]), st.integers(min_value=0, max_value=15)
+)
+_offsets = st.integers(min_value=0, max_value=15)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["call_at", "call_after", "at"]), _offsets, _spawns),
+        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=3)),
+        st.tuples(
+            st.just("run"),
+            st.none() | st.integers(min_value=0, max_value=30),
+            st.none() | st.integers(min_value=0, max_value=6),
+        ),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("peek")),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_ops, compact_threshold=st.sampled_from([2, Simulator.COMPACT_THRESHOLD]))
+# A dead entry ``run`` discards must leave the compaction count.
+@example(
+    ops=[("at", 1, None), ("cancel", 0), ("run", None, None), ("at", 1, None), ("cancel", 0)],
+    compact_threshold=2,
+)
+@settings(max_examples=300, deadline=None)
+def test_property_dispatch_matches_sorted_reference(ops, compact_threshold):
+    engine = type("Engine", (Simulator,), {"COMPACT_THRESHOLD": compact_threshold})()
+    assert _drive(engine, ops) == _drive(_ReferenceSim(compact_threshold), ops)
