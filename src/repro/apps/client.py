@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from heapq import heappush
+from math import log as _log
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExperimentError
@@ -166,10 +167,24 @@ class OpenLoopClient(Host):
                 self.workload.make_request(self.client_id, seq + 1 + i)
                 for i in range(chunk)
             ]
+        build_packets = self.build_packets
+        # The gap draw, bound once per chunk: the arrival process's
+        # own, or Random.expovariate(1.0) inlined (x / 1.0 == x, so
+        # the value is bit-identical to _next_gap's).
+        next_gap = None
+        if self.arrival_process is not None:
+            next_gap = self.arrival_process.next_gap
+        random = self.rng.random
+        mean_gap_ns = self._mean_gap_ns
         buf: List[Optional[Tuple[int, Any, List[Packet], int]]] = []
         for request in requests:
             seq += 1
-            buf.append((seq, request, self.build_packets(request), self._next_gap()))
+            packets = build_packets(request)
+            if next_gap is None:
+                gap = int(-_log(1.0 - random()) * mean_gap_ns) + 1
+            else:
+                gap = next_gap()
+            buf.append((seq, request, packets, gap))
         self._predrawn_seq = seq
         self._arrivals = buf
         self._arrival_idx = 0
@@ -206,10 +221,12 @@ class OpenLoopClient(Host):
             return
         if self.ARRIVAL_PREDRAW:
             idx = self._arrival_idx
-            if idx >= len(self._arrivals):
+            try:
+                record = self._arrivals[idx]
+            except IndexError:  # chunk used up (or flushed): draw the next
                 self._refill_arrivals()
                 idx = 0
-            record = self._arrivals[idx]
+                record = self._arrivals[0]
             self._arrivals[idx] = None  # the record's refs die with the send
             self._arrival_idx = idx + 1
             seq, request, packets, gap = record

@@ -12,6 +12,7 @@ from typing import Any, List, Sequence
 from repro.apps.client import OpenLoopClient
 from repro.errors import ExperimentError
 from repro.net.packet import Packet
+from repro.sim.rng import randbelow
 
 __all__ = ["BaselineClient", "PLAIN_RPC_PORT"]
 
@@ -29,7 +30,8 @@ class BaselineClient(OpenLoopClient):
         self.server_ips = list(server_ips)
 
     def build_packets(self, request: Any) -> List[Packet]:
-        destination = self.rng.choice(self.server_ips)
+        ips = self.server_ips
+        destination = ips[randbelow(self.rng.getrandbits, len(ips))]  # rng.choice(ips)
         return [
             self._new_packet(
                 src=self.ip,

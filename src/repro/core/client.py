@@ -33,6 +33,7 @@ from repro.core.placement import GroupTable
 from repro.core.program import CLO_NEVER_CLONE
 from repro.errors import ExperimentError
 from repro.net.packet import Packet
+from repro.sim.rng import randbelow
 
 __all__ = ["NetCloneClient"]
 
@@ -137,16 +138,19 @@ class NetCloneClient(OpenLoopClient):
         return self.rng.randrange(self._num_groups)
 
     def build_packets(self, request: Any) -> List[Packet]:
-        header = NetCloneHeader(
-            msg_type=MSG_REQ,
-            req_id=0,  # assigned by the switch
-            grp=self._pick_group(),
-            sid=0,
-            state=0,
-            clo=CLO_NEVER_CLONE if getattr(request, "write", False) else CLO_NOT_CLONED,
-            idx=self.rng.randrange(self.num_filter_tables),
-            swid=0,
-        )
+        # Same draws as _pick_group() then randrange(num_filter_tables),
+        # at primitive cost: a current uniform table is one randrange.
+        getrandbits = self.rng.getrandbits
+        table = self._group_table
+        if table is not None and table.epoch == self._table_epoch and table.is_uniform:
+            grp = randbelow(getrandbits, len(table.pairs))
+        else:
+            grp = self._pick_group()
+        clo = CLO_NEVER_CLONE if getattr(request, "write", False) else CLO_NOT_CLONED
+        idx = randbelow(getrandbits, self.num_filter_tables)
+        # msg_type, req_id (assigned by the switch), grp, sid, state,
+        # clo, idx, swid.
+        header = NetCloneHeader(MSG_REQ, 0, grp, 0, 0, clo, idx, 0)
         size = self.workload.request_size(request) + NetCloneHeader.WIRE_SIZE
         pool = self.packet_pool
         if pool is not None:

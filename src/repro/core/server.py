@@ -175,7 +175,10 @@ class RpcServer(Host):
             resp_nc = nc
             resp_nc.msg_type = MSG_RESP
             resp_nc.sid = self.server_id
-            resp_nc.state = min(queue_len, 255) if self.netclone_mode else 0
+            if self.netclone_mode:
+                resp_nc.state = queue_len if queue_len < 255 else 255
+            else:
+                resp_nc.state = 0
         dst = self.reply_to_ip if self.reply_to_ip is not None else request.src
         dport = request.dport if nc is not None else request.sport
         size = self._fixed_resp_size

@@ -164,10 +164,10 @@ class Packet:
                 self.sport,
                 self.dport,
                 self.size,
-                payload=self.payload,
-                nc=nc,
-                proto=self.proto,
-                created_at=self.created_at,
+                self.payload,
+                nc,
+                self.proto,
+                self.created_at,
             )
         return Packet(
             self.src,

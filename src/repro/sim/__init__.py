@@ -3,15 +3,18 @@
 This package is a from-scratch, dependency-free discrete-event engine
 with an integer nanosecond clock.  It provides two programming models:
 
-* a fast callback API (:meth:`Simulator.schedule` /
-  :meth:`Simulator.at`) used by the packet-level hot paths, and
+* a callback API (:meth:`Simulator.call_at` / :meth:`Simulator.call_after`,
+  plus :meth:`Simulator.at` for cancellable events).  The packet-level
+  hot paths use ``call_at`` or push straight onto the heap (see
+  :mod:`repro.sim.core` for that contract), and
 * a generator-based process API (:class:`Process`, :class:`Timeout`)
-  similar in spirit to SimPy, used where sequential control flow reads
-  better (e.g. worker threads).
+  similar in spirit to SimPy.  No simulator component under
+  :mod:`repro` uses it; it is kept as a library surface.
 
-Helper submodules provide seeded random-number streams (:mod:`rng`),
-queueing resources (:mod:`resources`) and measurement probes
-(:mod:`monitor`).
+Helper submodules provide seeded random-number streams (:mod:`rng`,
+whose :func:`~repro.sim.rng.randbelow` is the hot paths' primitive-cost
+equivalent of ``randrange``/``choice``), queueing resources
+(:mod:`resources`) and measurement probes (:mod:`monitor`).
 """
 
 from repro.sim.core import EventHandle, Simulator

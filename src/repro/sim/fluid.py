@@ -217,9 +217,13 @@ def _exec_survival(
     * ``x < bf`` — the execution has not finished, so the row gains
       exactly ``prob * 1.0``;
     * ``bf <= x <= bf + 750 * wait_mean`` — the only window evaluated,
-      with the broadcast formula's elementwise op order (subtract,
-      ``maximum``, negate, divide, ``exp``, ``* p_wait``, ``* prob``,
-      ``+=``);
+      as subtract, divide by ``-wait_mean``, ``exp``, ``* p_wait``,
+      ``* prob``, ``+=``.  That equals the broadcast formula's
+      ``exp(-maximum(arg, 0) / wait_mean)`` bit for bit: the window
+      starts at ``searchsorted(..., side="left")``, so ``x - bf >= 0``
+      already (``x == bf`` gives ``+0.0``) and ``maximum`` is a no-op,
+      and IEEE division is sign-symmetric, so ``w / -m == -w / m``
+      (for ``-0.0`` too);
     * beyond that — ``exp(-arg / wait_mean)`` underflows to exactly
       ``+0.0`` (the smallest subnormal is ``e**-744.4``), so the row
       gains ``+0.0`` and is left untouched.
@@ -233,6 +237,7 @@ def _exec_survival(
     out = np.zeros((base.size, x.size))
     waits = p_wait > 0.0 and wait_mean > 0.0
     scratch = np.empty(x.size)
+    neg_wait_mean = -wait_mean
     for prob, factor in ((1.0 - jitter_p, 1.0), (jitter_p, jitter_factor)):
         if prob <= 0.0:
             continue
@@ -248,9 +253,7 @@ def _exec_survival(
                 continue
             w = scratch[: hi - lo]
             np.subtract(x[lo:hi], bf, out=w)
-            np.maximum(w, 0.0, out=w)
-            np.negative(w, out=w)
-            np.divide(w, wait_mean, out=w)
+            np.divide(w, neg_wait_mean, out=w)
             np.exp(w, out=w)
             np.multiply(w, p_wait, out=w)
             np.multiply(w, prob, out=w)

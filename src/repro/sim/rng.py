@@ -12,11 +12,11 @@ even for adjacent seeds.
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Callable, Dict
 
 import numpy as np
 
-__all__ = ["RngRegistry", "splitmix64", "stream_seed"]
+__all__ = ["RngRegistry", "randbelow", "splitmix64", "stream_seed"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -28,6 +28,27 @@ def splitmix64(state: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def randbelow(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in ``[0, n)`` drawn with *getrandbits*; ``n > 0``.
+
+    This is CPython's ``Random._randbelow_with_getrandbits``: draw
+    ``n.bit_length()`` bits and redraw while the value is ``>= n``.
+    Passed a stream's bound ``getrandbits``, it returns exactly what
+    ``rng.randrange(n)`` returns and spends exactly the same draws,
+    and ``seq[randbelow(rng.getrandbits, len(seq))]`` equals
+    ``rng.choice(seq)`` — both bottom out in this loop for
+    :class:`random.Random` and for every subclass that overrides
+    ``getrandbits`` (the sanitizer's counting stream included).  Hot
+    paths call it to skip ``randrange``'s argument checks and two
+    Python-level frames per draw.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def stream_seed(root_seed: int, name: str) -> int:

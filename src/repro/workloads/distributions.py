@@ -13,6 +13,7 @@ and it is modelled the same way here.
 from __future__ import annotations
 
 import random
+from math import log as _log
 from typing import Sequence, Tuple
 
 from repro.errors import WorkloadError
@@ -84,10 +85,11 @@ class ExponentialDistribution(ServiceDistribution):
         return int(value) + 1
 
     def sample_chunk(self, rng: random.Random, n: int) -> list:
-        # Same draws as n sample() calls, minus n method dispatches.
-        expovariate = rng.expovariate
+        # Same draws as n sample() calls: Random.expovariate's own
+        # formula, minus n method dispatches.
+        random = rng.random
         rate = 1.0 / self._mean_ns
-        return [int(expovariate(rate)) + 1 for _ in range(n)]
+        return [int(-_log(1.0 - random()) / rate) + 1 for _ in range(n)]
 
     @property
     def mean_ns(self) -> float:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from math import log as _log
 
 from repro.errors import WorkloadError
 
@@ -110,11 +111,13 @@ class MmppArrivals:
         switch and the candidate is redrawn in the new state — valid
         because the Poisson arrival in each state is memoryless.
         """
-        rng = self.rng
+        # -_log(1.0 - random()) is Random.expovariate(1.0)'s own
+        # formula (x / 1.0 == x), so every draw is bit-identical.
+        random = self.rng.random
         gap_s = 0.0
         while True:
             rate = self.rate_rps * (self._mult_high if self._high else self._mult_low)
-            candidate_s = rng.expovariate(1.0) / rate
+            candidate_s = -_log(1.0 - random()) / rate
             if candidate_s <= self._sojourn_left_s:
                 self._sojourn_left_s -= candidate_s
                 gap_s += candidate_s
@@ -122,7 +125,7 @@ class MmppArrivals:
             gap_s += self._sojourn_left_s
             self._high = not self._high
             mean = self._sojourn_high_s if self._high else self._sojourn_low_s
-            self._sojourn_left_s = rng.expovariate(1.0) * mean
+            self._sojourn_left_s = -_log(1.0 - random()) * mean
 
 
 class DiurnalArrivals:

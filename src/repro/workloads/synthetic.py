@@ -61,8 +61,7 @@ class SyntheticWorkload:
         """
         samples = self.distribution.sample_chunk(self.rng, n)
         return [
-            RpcRequest(client_id=client_id, client_seq=start_seq + i, service_ns=samples[i])
-            for i in range(n)
+            RpcRequest(client_id, start_seq + i, samples[i]) for i in range(n)
         ]
 
     def request_size(self, request: RpcRequest) -> int:
