@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test smoke bench bench-compare bench-update perfbench-test drill scenarios profile rss-guard lint lint-baseline
+.PHONY: test smoke bench bench-compare bench-update perfbench-test drill scenarios rss-guard lint lint-baseline
 
 test:  ## full tier-1 suite (what the roadmap's verify line runs)
 	$(PY) -m pytest -x -q
@@ -29,9 +29,6 @@ bench-update:  ## rewrite the checked-in BENCH_*.json baselines (+ append to BEN
 
 perfbench-test:  ## packet-path bench self-tests: every workload's pass digests against perfbench/reference.json
 	$(PY) -m pytest perfbench -q
-
-profile:  ## cProfile the bench workloads; top-20 cumulative per target
-	$(PY) tools/profile_hotpath.py
 
 rss-guard:  ## sketch-mode fig18 sweep + 100M-request MMPP point under a peak-RSS ceiling
 	$(PY) tools/rss_guard.py

@@ -1,8 +1,8 @@
 """Benchmark: raw engine throughput, no network model on top.
 
 Two substrates every experiment sits on, measured in isolation: the
-event loop's fast lane (``call_at`` pushing bare tuples) and the
-packet free-list pool.  ``REPRO_BENCH_SCALE`` scales the cycle counts
+event loop (``call_at`` pushing bare tuples) and the packet free-list
+pool.  ``REPRO_BENCH_SCALE`` scales the cycle counts
 (1M schedule/run cycles at the default 0.25).
 """
 
@@ -13,30 +13,12 @@ from repro.sim.core import Simulator
 
 
 def _schedule_run(n: int) -> int:
-    """Schedule *n* monotone fast-lane events, then drain them."""
+    """Schedule *n* monotone events, then drain them."""
     sim = Simulator()
     call_at = sim.call_at
     noop = int
     for t in range(n):
         call_at(t, noop)
-    return sim.run()
-
-
-def _schedule_run_churn(n: int) -> int:
-    """Same, with every fourth event a cancellable that gets cancelled.
-
-    Exercises the slow lane, lazy deletion and heap compaction under
-    the fast lane's feet.
-    """
-    sim = Simulator()
-    call_at = sim.call_at
-    at = sim.at
-    noop = int
-    for t in range(n):
-        if t & 3:
-            call_at(t, noop)
-        else:
-            at(t, noop).cancel()
     return sim.run()
 
 
@@ -52,12 +34,6 @@ def bench_core_schedule_run(benchmark, bench_scale):
     n = max(1, int(4_000_000 * bench_scale))
     executed = run_once(benchmark, _schedule_run, n=n)
     assert executed == n
-
-
-def bench_core_schedule_run_churn(benchmark, bench_scale):
-    n = max(4, int(4_000_000 * bench_scale))
-    executed = run_once(benchmark, _schedule_run_churn, n=n)
-    assert executed == n - (n + 3) // 4
 
 
 def bench_core_packet_pool(benchmark, bench_scale):

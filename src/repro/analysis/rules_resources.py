@@ -3,10 +3,6 @@
 * ``packet-leak`` — a ``PacketPool.acquire`` result that is neither
   released nor handed off starves the free list and (worse) silently
   shifts every later uid if someone "fixes" it, breaking goldens;
-* ``dropped-handle`` — ``sim.at`` / ``sim.schedule`` allocate a
-  cancellable :class:`~repro.sim.core.EventHandle`; discarding it
-  means nobody can ever cancel, so the call belongs on the handle-free
-  fast lane (``call_at`` / ``call_after``, bit-identical seq-for-seq);
 * ``shm-leak`` — ``multiprocessing.shared_memory`` segments without an
   owner-side ``unlink()`` outlive the process in ``/dev/shm``.
 
@@ -23,10 +19,9 @@ from typing import List, Optional
 
 from repro.analysis.core import RuleContext, RuleSpec, register_rule
 
-__all__ = ["DROPPED_HANDLE", "PACKET_LEAK", "SHM_LEAK"]
+__all__ = ["PACKET_LEAK", "SHM_LEAK"]
 
 PACKET_LEAK = "packet-leak"
-DROPPED_HANDLE = "dropped-handle"
 SHM_LEAK = "shm-leak"
 
 
@@ -138,30 +133,6 @@ class _PacketLeakChecker:
         return False
 
 
-class _DroppedHandleChecker:
-    def visit_Expr(self, node: ast.Expr, ctx: RuleContext) -> None:
-        call = node.value
-        if not (
-            isinstance(call, ast.Call)
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr in ("at", "schedule")
-        ):
-            return
-        receiver = _receiver_text(call.func.value)
-        if receiver is None or not (
-            receiver == "sim" or receiver.endswith(".sim")
-        ):
-            return
-        fast = "call_at" if call.func.attr == "at" else "call_after"
-        ctx.report(
-            node,
-            f"cancellable handle from {receiver}.{call.func.attr}(...) is "
-            f"dropped; use {receiver}.{fast}(...) on the handle-free fast "
-            "lane (same seq consumption, bit-identical order) or store the "
-            "handle for cancel",
-        )
-
-
 class _ShmLeakChecker:
     def __init__(self) -> None:
         self._creates: List[ast.Call] = []
@@ -203,17 +174,6 @@ register_rule(
         "hand-off on the enclosing function's exit paths",
         make_checker=_PacketLeakChecker,
         severity="error",
-        module=__name__,
-    )
-)
-
-register_rule(
-    RuleSpec(
-        name=DROPPED_HANDLE,
-        description="sim.at/sim.schedule handles dropped without "
-        "cancel-or-store; fire-and-forget events belong on call_at/call_after",
-        make_checker=_DroppedHandleChecker,
-        severity="warning",
         module=__name__,
     )
 )

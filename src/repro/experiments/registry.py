@@ -50,9 +50,8 @@ def gate_harness_axes(
     if the signature does **not** declare it and the caller actually
     asked, this raises :class:`ExperimentError` naming what the harness
     does accept — an unaware harness must error, never silently ignore
-    a flag.  The CLI and the standalone tools
-    (``tools/profile_hotpath.py``, ``tools/rss_guard.py``) all route
-    their harness calls through here.
+    a flag.  The CLI and ``tools/rss_guard.py`` route their harness
+    calls through here.
     """
     accepted = inspect.signature(harness).parameters
     kwargs: Dict[str, Any] = {}

@@ -2,7 +2,7 @@
 
 :func:`run_scenario` builds the scenario's cluster exactly the way the
 hand-written drills did — fabric, monitors, failure handler — then
-schedules every spec event on the simulator (``sim.at``; same-time
+schedules every spec event on the simulator (``sim.call_at``; same-time
 events apply in spec order), snapshots telemetry at each checkpoint,
 runs the timeline, drains the event queue dry, and reduces the whole
 run to a :class:`ScenarioReport`: plain data (picklable, JSON-able,
@@ -212,7 +212,7 @@ class _ScenarioExecution:
 
     # ------------------------------------------------------------------
     # Event application (same-time events run in spec order: they were
-    # registered with sim.at in spec order and ties break by sequence).
+    # registered with sim.call_at in spec order and ties break by sequence).
     # ------------------------------------------------------------------
     def apply(self, event: ScenarioEvent) -> None:
         getattr(self, f"_apply_{event.action}")(**event.param_dict())

@@ -7,87 +7,32 @@ same instant (and, being unique, guarantees tuple comparisons never
 reach the payload elements).  Events therefore run in the total
 ``(time, seq)`` order.
 
-Two scheduling APIs share the heap:
-
-* :meth:`Simulator.call_at` / :meth:`Simulator.call_after` — the fast
-  path for the ~95% of events that are never cancelled (packet
-  delivery, service completions, arrival ticks).  They push bare
-  tuples and return nothing: no per-event allocation beyond the entry
-  itself.
-* :meth:`Simulator.schedule` / :meth:`Simulator.at` — return an
-  :class:`EventHandle` that can be cancelled.  Cancellation is O(1)
-  (lazy deletion: the handle is flagged and skipped when popped) and
-  the heap is compacted in one pass when cancelled entries come to
-  dominate.
-
-Both APIs consume one ``seq`` per event, so converting a call site from
-``at`` to ``call_at`` leaves the execution order of every event
-bit-identical.  Hot components inline the fast-path push as a ``seq``
-bump plus one ``heappush(sim._heap, (when, seq, fn, args))``.
-Higher-level conveniences (generator processes, resources) are layered
-on top in sibling modules.
+There is one scheduling API: :meth:`Simulator.call_at` /
+:meth:`Simulator.call_after` push a bare entry and return nothing, and
+an event, once scheduled, always fires.  A component that may want to
+drop a pending action checks its own state when the callback runs (see
+the retransmit timer in :mod:`repro.core.reliability`).  Hot components
+inline the push as a ``seq`` bump plus one ``heappush(sim._heap, (when,
+seq, fn, args))``.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Optional
 
 from repro.errors import SchedulingError
 
-__all__ = ["EventHandle", "PySimulator", "Simulator", "USING_CCORE"]
-
-# Entry layout: (time, seq, fn, args) for fast-path events and
-# (time, seq, handle, None) for cancellable ones — a single tuple shape
-# check (``entry[3] is None``) distinguishes them on the pop path.
+__all__ = ["PySimulator", "Simulator", "USING_CCORE"]
 
 #: ``run``'s horizon when it has no ``until``: no time exceeds it.
 _NO_HORIZON = float("inf")
 
 
-class EventHandle:
-    """A scheduled callback that can be cancelled.
-
-    Instances are returned by :meth:`Simulator.schedule` and
-    :meth:`Simulator.at`.  They are true-ish while still pending.
-    """
-
-    __slots__ = ("fn", "args", "cancelled", "time", "sim")
-
-    def __init__(
-        self,
-        time: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-        sim: Optional["Simulator"] = None,
-    ):
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.sim is not None:
-            self.sim._note_cancelled()
-
-    def __bool__(self) -> bool:
-        return not self.cancelled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<EventHandle t={self.time} {name} {state}>"
-
-
 class Simulator:
     """A discrete-event simulator with an integer nanosecond clock.
 
-    Typical callback-style use::
+    Typical use::
 
         sim = Simulator()
         sim.call_after(1_000, print, "one microsecond later")
@@ -97,11 +42,7 @@ class Simulator:
     timestamp of the next scheduled event.
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_event_count", "_cancelled")
-
-    #: Compaction trigger: at least this many cancelled entries AND
-    #: cancelled entries making up at least half the pending set.
-    COMPACT_THRESHOLD = 64
+    __slots__ = ("now", "_heap", "_seq", "_event_count")
 
     def __init__(self) -> None:
         #: Current simulated time in nanoseconds.
@@ -109,20 +50,15 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._event_count = 0
-        self._cancelled = 0
 
     # ------------------------------------------------------------------
-    # Scheduling — fast path (uncancellable)
+    # Scheduling
     # ------------------------------------------------------------------
     def call_after(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay`` ns after *now*.
 
-        The fast path: no :class:`EventHandle` is allocated and nothing
-        is returned, so the event cannot be cancelled.  Use it for
-        events that are provably never cancelled (deliveries, service
-        completions, arrival ticks).  ``delay`` must be non-negative; a
-        zero delay runs after all events already scheduled for the
-        current instant (FIFO).
+        ``delay`` must be non-negative; a zero delay runs after all
+        events already scheduled for the current instant (FIFO).
         """
         if delay < 0:
             raise SchedulingError(f"negative delay {delay!r}")
@@ -131,7 +67,7 @@ class Simulator:
         heappush(self._heap, (self.now + delay, seq, fn, args))
 
     def call_at(self, time: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at absolute ``time`` ns (fast path)."""
+        """Schedule ``fn(*args)`` to run at absolute ``time`` ns."""
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule at t={time} which is before now={self.now}"
@@ -141,82 +77,21 @@ class Simulator:
         heappush(self._heap, (time, seq, fn, args))
 
     # ------------------------------------------------------------------
-    # Scheduling — cancellable path
-    # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` to run ``delay`` ns after *now*.
-
-        ``delay`` must be non-negative; a zero delay runs after all
-        events already scheduled for the current instant (FIFO).
-        """
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay!r}")
-        return self.at(self.now + delay, fn, *args)
-
-    def at(self, time: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``fn(*args)`` to run at absolute ``time`` ns."""
-        if time < self.now:
-            raise SchedulingError(
-                f"cannot schedule at t={time} which is before now={self.now}"
-            )
-        handle = EventHandle(time, fn, args, sim=self)
-        seq = self._seq + 1
-        self._seq = seq
-        heappush(self._heap, (time, seq, handle, None))
-        return handle
-
-    # ------------------------------------------------------------------
-    # Cancellation bookkeeping
-    # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`EventHandle.cancel`; compacts the heap when
-        its live entries are drowned out by lazily-deleted ones."""
-        self._cancelled += 1
-        heap = self._heap
-        if self._cancelled >= self.COMPACT_THRESHOLD and self._cancelled * 2 >= len(heap):
-            # In place, so the heap bound by a running ``run`` loop
-            # stays valid.
-            heap[:] = [e for e in heap if e[3] is not None or not e[2].cancelled]
-            heapify(heap)
-            self._cancelled = 0
-
-    def _live_head(self) -> Optional[tuple]:
-        """The earliest non-cancelled entry, discarding dead ones.
-
-        ``step`` and ``peek`` funnel through it (``run`` inlines the
-        same lazy deletion).  The returned entry is *not* popped.
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[3] is not None or not head[2].cancelled:
-                return head
-            heappop(heap)
-            if self._cancelled:
-                self._cancelled -= 1
-        return None
-
-    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Run the single next pending event.
 
         Returns ``True`` if an event ran, ``False`` if the queue was
-        empty (cancelled entries are discarded silently).
+        empty.
         """
-        entry = self._live_head()
-        if entry is None:
+        heap = self._heap
+        if not heap:
             return False
-        heappop(self._heap)
-        time, _seq, target, args = entry
+        time, _seq, fn, args = heappop(heap)
         self.now = time
         self._event_count += 1
-        if args is None:
-            target.sim = None  # fired: later cancel() must not count it
-            target.fn(*target.args)
-        else:
-            target(*args)
+        fn(*args)
         return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -242,11 +117,7 @@ class Simulator:
                     if until is not None and until > self.now:
                         self.now = until
                     break
-                time, _seq, target, args = entry
-                if args is None and target.cancelled:
-                    if self._cancelled:
-                        self._cancelled -= 1
-                    continue
+                time, _seq, fn, args = entry
                 if time > horizon:
                     # Past the horizon: restore it for a later run().
                     heappush(heap, entry)
@@ -254,11 +125,7 @@ class Simulator:
                     break
                 self.now = time
                 executed += 1
-                if args is None:
-                    target.sim = None  # fired: later cancel() must not count it
-                    target.fn(*target.args)
-                else:
-                    target(*args)
+                fn(*args)
         finally:
             self._event_count += executed
         return executed
@@ -268,7 +135,7 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of queue entries, including lazily-cancelled ones."""
+        """Number of scheduled events that have not run yet."""
         return len(self._heap)
 
     @property
@@ -282,9 +149,9 @@ class Simulator:
         return self._event_count
 
     def peek(self) -> Optional[int]:
-        """Timestamp of the next live event, or ``None`` if drained."""
-        entry = self._live_head()
-        return entry[0] if entry is not None else None
+        """Timestamp of the next event, or ``None`` if drained."""
+        heap = self._heap
+        return heap[0][0] if heap else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self.now} pending={self.pending}>"

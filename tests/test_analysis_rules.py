@@ -109,22 +109,6 @@ VIOLATIONS = [
         "handed off on any path of burst()",
     ),
     (
-        "dropped-handle",
-        PLAIN_MODULE,
-        "def arm(sim, cb):\n    sim.at(5, cb)\n",
-        "cancellable handle from sim.at(...) is dropped; use "
-        "sim.call_at(...) on the handle-free fast lane (same seq "
-        "consumption, bit-identical order) or store the handle for cancel",
-    ),
-    (
-        "dropped-handle",
-        PLAIN_MODULE,
-        "def arm(self, cb):\n    self.sim.schedule(5, cb)\n",
-        "cancellable handle from self.sim.schedule(...) is dropped; use "
-        "self.sim.call_after(...) on the handle-free fast lane (same seq "
-        "consumption, bit-identical order) or store the handle for cancel",
-    ),
-    (
         "shm-leak",
         PLAIN_MODULE,
         "from multiprocessing import shared_memory\n"
@@ -201,9 +185,8 @@ POSITIVES = [
     "def burst(self, pool):\n"
     "    packet = pool.acquire(1, 2, 3, 4, 64)\n"
     "    self.send(packet)\n",
-    # Fast-lane scheduling needs no handle; stored handles can cancel.
+    # Scheduling a callback holds no resource.
     "def arm(sim, cb):\n    sim.call_at(5, cb)\n",
-    "def arm(self, sim, cb):\n    self.timer = sim.at(5, cb)\n",
     # The owner unlinks its segments somewhere in the module.
     "from multiprocessing import shared_memory\n"
     "def open_channel():\n"

@@ -19,7 +19,7 @@ def test_clock_starts_at_zero():
 def test_schedule_runs_callback_at_time():
     sim = Simulator()
     fired = []
-    sim.schedule(1_000, fired.append, "a")
+    sim.call_after(1_000, fired.append, "a")
     sim.run()
     assert fired == ["a"]
     assert sim.now == 1_000
@@ -28,9 +28,9 @@ def test_schedule_runs_callback_at_time():
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
-    sim.schedule(300, order.append, 3)
-    sim.schedule(100, order.append, 1)
-    sim.schedule(200, order.append, 2)
+    sim.call_after(300, order.append, 3)
+    sim.call_after(100, order.append, 1)
+    sim.call_after(200, order.append, 2)
     sim.run()
     assert order == [1, 2, 3]
 
@@ -39,7 +39,7 @@ def test_same_time_events_fifo():
     sim = Simulator()
     order = []
     for i in range(10):
-        sim.schedule(50, order.append, i)
+        sim.call_after(50, order.append, i)
     sim.run()
     assert order == list(range(10))
 
@@ -50,10 +50,10 @@ def test_zero_delay_runs_after_current_instant_fifo():
 
     def first():
         order.append("first")
-        sim.schedule(0, order.append, "nested")
+        sim.call_after(0, order.append, "nested")
 
-    sim.schedule(10, first)
-    sim.schedule(10, order.append, "second")
+    sim.call_after(10, first)
+    sim.call_after(10, order.append, "second")
     sim.run()
     assert order == ["first", "second", "nested"]
 
@@ -61,40 +61,22 @@ def test_zero_delay_runs_after_current_instant_fifo():
 def test_negative_delay_rejected():
     sim = Simulator()
     with pytest.raises(SchedulingError):
-        sim.schedule(-1, lambda: None)
+        sim.call_after(-1, lambda: None)
 
 
 def test_at_in_past_rejected():
     sim = Simulator()
-    sim.schedule(100, lambda: None)
+    sim.call_after(100, lambda: None)
     sim.run()
     with pytest.raises(SchedulingError):
-        sim.at(50, lambda: None)
-
-
-def test_cancel_prevents_execution():
-    sim = Simulator()
-    fired = []
-    handle = sim.schedule(100, fired.append, "x")
-    handle.cancel()
-    sim.run()
-    assert fired == []
-    assert not handle
-
-
-def test_cancel_is_idempotent():
-    sim = Simulator()
-    handle = sim.schedule(100, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    sim.run()
+        sim.call_at(50, lambda: None)
 
 
 def test_run_until_stops_and_advances_clock():
     sim = Simulator()
     fired = []
-    sim.schedule(100, fired.append, 1)
-    sim.schedule(900, fired.append, 2)
+    sim.call_after(100, fired.append, 1)
+    sim.call_after(900, fired.append, 2)
     sim.run(until=500)
     assert fired == [1]
     assert sim.now == 500
@@ -105,7 +87,7 @@ def test_run_until_stops_and_advances_clock():
 
 def test_run_until_advances_clock_when_queue_drains():
     sim = Simulator()
-    sim.schedule(10, lambda: None)
+    sim.call_after(10, lambda: None)
     sim.run(until=1_000)
     assert sim.now == 1_000
 
@@ -114,7 +96,7 @@ def test_run_max_events():
     sim = Simulator()
     fired = []
     for i in range(5):
-        sim.schedule(i + 1, fired.append, i)
+        sim.call_after(i + 1, fired.append, i)
     executed = sim.run(max_events=3)
     assert executed == 3
     assert fired == [0, 1, 2]
@@ -123,19 +105,20 @@ def test_run_max_events():
 def test_step_runs_exactly_one_event():
     sim = Simulator()
     fired = []
-    sim.schedule(10, fired.append, "a")
-    sim.schedule(20, fired.append, "b")
+    sim.call_after(10, fired.append, "a")
+    sim.call_after(20, fired.append, "b")
     assert sim.step()
     assert fired == ["a"]
     assert sim.step()
     assert not sim.step()
 
 
-def test_peek_skips_cancelled():
+def test_peek_returns_head_time():
     sim = Simulator()
-    handle = sim.schedule(10, lambda: None)
-    sim.schedule(30, lambda: None)
-    handle.cancel()
+    sim.call_after(30, lambda: None)
+    sim.call_after(10, lambda: None)
+    assert sim.peek() == 10
+    assert sim.step()
     assert sim.peek() == 30
 
 
@@ -147,7 +130,7 @@ def test_peek_empty_returns_none():
 def test_event_count_accumulates():
     sim = Simulator()
     for i in range(7):
-        sim.schedule(i, lambda: None)
+        sim.call_after(i, lambda: None)
     sim.run()
     assert sim.event_count == 7
 
@@ -159,9 +142,9 @@ def test_callbacks_can_schedule_more_work():
     def chain(n):
         seen.append(n)
         if n < 5:
-            sim.schedule(10, chain, n + 1)
+            sim.call_after(10, chain, n + 1)
 
-    sim.schedule(0, chain, 0)
+    sim.call_after(0, chain, 0)
     sim.run()
     assert seen == [0, 1, 2, 3, 4, 5]
     assert sim.now == 50
@@ -173,7 +156,7 @@ def test_property_events_fire_in_nondecreasing_time(delays):
     sim = Simulator()
     fire_times = []
     for delay in delays:
-        sim.schedule(delay, lambda: fire_times.append(sim.now))
+        sim.call_after(delay, lambda: fire_times.append(sim.now))
     sim.run()
     assert fire_times == sorted(fire_times)
     assert len(fire_times) == len(delays)
@@ -191,7 +174,7 @@ def test_property_fifo_within_equal_times(delays):
     sim = Simulator()
     fired = []
     for delay, tag in delays:
-        sim.schedule(delay, fired.append, (delay, tag))
+        sim.call_after(delay, fired.append, (delay, tag))
     sim.run()
     # Stable sort by delay must reproduce the firing order exactly.
     assert fired == sorted(fired, key=lambda pair: pair[0])
@@ -200,101 +183,52 @@ def test_property_fifo_within_equal_times(delays):
 # ----------------------------------------------------------------------
 # The dispatch loop against a reference model
 # ----------------------------------------------------------------------
-class _RefHandle:
-    def __init__(self, sim, fn, args):
-        self.sim, self.fn, self.args, self.cancelled = sim, fn, args, False
-
-    def cancel(self):
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self.sim is not None:
-            self.sim._note_cancelled()
-
-
 class _ReferenceSim:
-    """The engine's contract spelled out over a list sorted by (time, seq).
+    """The engine's contract spelled out over a list sorted by (time, seq)."""
 
-    Cancelled entries stay listed until they reach the head or are
-    compacted away, as in the engine, so ``pending`` compares exactly.
-    """
-
-    def __init__(self, compact_threshold):
+    def __init__(self):
         self.now = 0
         self.event_count = 0
         self._seq = 0
         self._entries = []
-        self._cancelled = 0
-        self._threshold = compact_threshold
 
     @property
     def pending(self):
         return len(self._entries)
 
-    def _push(self, time, target, args):
-        self._seq += 1
-        bisect.insort(self._entries, (time, self._seq, target, args))
-
     def call_at(self, time, fn, *args):
-        self._push(time, fn, args)
+        self._seq += 1
+        bisect.insort(self._entries, (time, self._seq, fn, args))
 
     def call_after(self, delay, fn, *args):
-        self._push(self.now + delay, fn, args)
+        self.call_at(self.now + delay, fn, *args)
 
-    def at(self, time, fn, *args):
-        handle = _RefHandle(self, fn, args)
-        self._push(time, handle, None)
-        return handle
-
-    def _note_cancelled(self):
-        self._cancelled += 1
-        if self._cancelled >= self._threshold and self._cancelled * 2 >= len(self._entries):
-            self._entries = [e for e in self._entries if e[3] is not None or not e[2].cancelled]
-            self._cancelled = 0
-
-    def _live_head(self):
-        while self._entries:
-            head = self._entries[0]
-            if head[3] is not None or not head[2].cancelled:
-                return head
-            del self._entries[0]
-            self._cancelled = max(self._cancelled - 1, 0)
-        return None
-
-    def _fire(self, entry):
-        del self._entries[0]
-        time, _seq, target, args = entry
+    def _fire(self):
+        time, _seq, fn, args = self._entries.pop(0)
         self.now = time
         self.event_count += 1
-        if args is None:
-            target.sim = None
-            target.fn(*target.args)
-        else:
-            target(*args)
+        fn(*args)
 
     def step(self):
-        head = self._live_head()
-        if head is None:
+        if not self._entries:
             return False
-        self._fire(head)
+        self._fire()
         return True
 
     def peek(self):
-        head = self._live_head()
-        return None if head is None else head[0]
+        return self._entries[0][0] if self._entries else None
 
     def run(self, until=None, max_events=None):
         executed = 0
         while max_events is None or executed < max_events:
-            head = self._live_head()
-            if head is None:
+            if not self._entries:
                 if until is not None and until > self.now:
                     self.now = until
                 break
-            if until is not None and head[0] > until:
+            if until is not None and self._entries[0][0] > until:
                 self.now = until
                 break
-            self._fire(head)
+            self._fire()
             executed += 1
         return executed
 
@@ -302,7 +236,6 @@ class _ReferenceSim:
 def _drive(sim, ops):
     """Apply *ops* to *sim*; return what each call observed, in order."""
     fired = []
-    handles = []
 
     def fire(label, spawn):
         fired.append((sim.now, label))
@@ -313,20 +246,15 @@ def _drive(sim, ops):
     def schedule(kind, time, label, spawn):
         if kind == "call_at":
             sim.call_at(time, fire, label, spawn)
-        elif kind == "call_after":
-            sim.call_after(time - sim.now, fire, label, spawn)
         else:
-            handles.append(sim.at(time, fire, label, spawn))
+            sim.call_after(time - sim.now, fire, label, spawn)
 
     observed = []
     for index, op in enumerate(ops):
         kind = op[0]
         result = None
-        if kind in ("call_at", "call_after", "at"):
+        if kind in ("call_at", "call_after"):
             schedule(kind, sim.now + op[1], index, op[2])
-        elif kind == "cancel":  # op[1] counts back from the newest handle
-            if handles:
-                handles[-1 - op[1] % len(handles)].cancel()
         elif kind == "run":
             until = None if op[1] is None else sim.now + op[1]
             result = sim.run(until=until, max_events=op[2])
@@ -340,13 +268,12 @@ def _drive(sim, ops):
 
 
 _spawns = st.none() | st.tuples(
-    st.sampled_from(["call_after", "at"]), st.integers(min_value=0, max_value=15)
+    st.sampled_from(["call_at", "call_after"]), st.integers(min_value=0, max_value=15)
 )
 _offsets = st.integers(min_value=0, max_value=15)
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.sampled_from(["call_at", "call_after", "at"]), _offsets, _spawns),
-        st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=3)),
+        st.tuples(st.sampled_from(["call_at", "call_after"]), _offsets, _spawns),
         st.tuples(
             st.just("run"),
             st.none() | st.integers(min_value=0, max_value=30),
@@ -359,13 +286,9 @@ _ops = st.lists(
 )
 
 
-@given(ops=_ops, compact_threshold=st.sampled_from([2, Simulator.COMPACT_THRESHOLD]))
-# A dead entry ``run`` discards must leave the compaction count.
-@example(
-    ops=[("at", 1, None), ("cancel", 0), ("run", None, None), ("at", 1, None), ("cancel", 0)],
-    compact_threshold=2,
-)
+@given(ops=_ops)
+# An event exactly at the horizon runs; one past it waits for a later run.
+@example(ops=[("call_at", 5, None), ("call_at", 6, None), ("run", 5, None), ("peek",)])
 @settings(max_examples=300, deadline=None)
-def test_property_dispatch_matches_sorted_reference(ops, compact_threshold):
-    engine = type("Engine", (Simulator,), {"COMPACT_THRESHOLD": compact_threshold})()
-    assert _drive(engine, ops) == _drive(_ReferenceSim(compact_threshold), ops)
+def test_property_dispatch_matches_sorted_reference(ops):
+    assert _drive(Simulator(), ops) == _drive(_ReferenceSim(), ops)

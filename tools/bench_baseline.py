@@ -1,13 +1,10 @@
 #!/usr/bin/env python
 """Measure, record and police the repo's performance baselines.
 
-Two baselines are kept checked in at the repo root:
+Three baselines are kept checked in at the repo root:
 
 * ``BENCH_core.json`` — raw engine throughput: schedule/run cycles of
-  bare fast-lane events (``Simulator.call_at``), in events/sec, plus
-  the cancel-churn variant (every fourth event a cancellable that gets
-  cancelled) exercising lazy deletion and compaction under the fast
-  lane's feet.
+  bare events (``Simulator.call_at``), in events/sec.
 * ``BENCH_fig18.json`` — end-to-end harness throughput: the fig18
   trunk-saturation grid at benchmark scale with ``fluid=0.0`` (every
   model-eligible cell solved analytically, see :mod:`repro.sim.fluid`),
@@ -27,7 +24,7 @@ bench trajectory across PRs, not just the latest snapshot.
 
 Modes::
 
-    python tools/bench_baseline.py --update   # re-measure, rewrite both files
+    python tools/bench_baseline.py --update   # re-measure, rewrite the files
     python tools/bench_baseline.py            # re-measure, compare, exit 1 on
                                               # a >30% throughput regression
 
@@ -62,7 +59,7 @@ from repro.sim.core import Simulator  # noqa: E402  (path bootstrap above)
 #: Relative throughput drop that fails compare mode.
 TOLERANCE = 0.30
 
-#: Fast-lane events per schedule/run cycle at scale 1.0.
+#: Events per schedule/run cycle at scale 1.0.
 CORE_EVENTS = 4_000_000
 
 #: Append-only bench trajectory (one JSON record per line).
@@ -70,10 +67,8 @@ HISTORY = "BENCH_history.jsonl"
 
 
 def _measure_core(scale: float, rounds: int) -> dict:
-    n = max(4, int(CORE_EVENTS * scale))
+    n = max(1, int(CORE_EVENTS * scale))
     walls = []
-    churn_walls = []
-    churn_executed = n - (n + 3) // 4
     for _ in range(rounds):
         sim = Simulator()
         call_at = sim.call_at
@@ -84,24 +79,7 @@ def _measure_core(scale: float, rounds: int) -> dict:
         executed = sim.run()
         walls.append(time.perf_counter() - start)
         assert executed == n
-
-        # Churn variant: every fourth event goes through the
-        # cancellable slow lane and is cancelled before it fires
-        # (mirrors benchmarks/bench_core.py::_schedule_run_churn).
-        sim = Simulator()
-        call_at = sim.call_at
-        at = sim.at
-        start = time.perf_counter()
-        for t in range(n):
-            if t & 3:
-                call_at(t, noop)
-            else:
-                at(t, noop).cancel()
-        executed = sim.run()
-        churn_walls.append(time.perf_counter() - start)
-        assert executed == churn_executed
     wall = statistics.median(walls)
-    churn_wall = statistics.median(churn_walls)
     return {
         "bench": "core",
         "scale": scale,
@@ -109,8 +87,6 @@ def _measure_core(scale: float, rounds: int) -> dict:
         "rounds": rounds,
         "wall_s_p50": round(wall, 4),
         "events_per_sec": round(n / wall, 1),
-        "churn_wall_s_p50": round(churn_wall, 4),
-        "churn_events_per_sec": round(churn_executed / churn_wall, 1),
     }
 
 
@@ -244,7 +220,7 @@ def _measure_metrics(scale: float, seed: int, rounds: int) -> dict:
 
 
 BASELINES = (
-    ("BENCH_core.json", ("events_per_sec", "churn_events_per_sec"), _measure_core),
+    ("BENCH_core.json", ("events_per_sec",), _measure_core),
     ("BENCH_fig18.json", ("points_per_sec",), _measure_fig18),
     (
         "BENCH_metrics.json",
